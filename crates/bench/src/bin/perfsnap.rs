@@ -41,8 +41,8 @@
 //!
 //! The `ingest` section benchmarks the live path (`dynaddr-daemon`): an
 //! in-process daemon replays the snapshot's own dataset at max rate while
-//! a concurrent client hammers rolling `DaemonSnapshot` point queries,
-//! recording replay throughput (rows/sec) and point-query latency
+//! a concurrent client hammers point queries, alternating a seeded probe's
+//! `DaemonProbe` with `DaemonSnapshot`, recording replay throughput (rows/sec) and point-query latency
 //! quantiles under ingest. The sealed report is compared against the
 //! batch analyzer's; perfsnap exits nonzero (after writing the snapshot)
 //! if they differ by even one byte.
@@ -104,7 +104,8 @@ struct IngestStage {
     replay_s: f64,
     /// rows / replay_s: live-ingestion throughput.
     replay_rows_per_sec: f64,
-    /// Rolling `DaemonSnapshot` queries answered while the replay ran.
+    /// Point queries (`DaemonProbe` and `DaemonSnapshot`, alternating)
+    /// answered while the replay ran.
     point_queries: u64,
     /// Median point-query latency under ingest, nanoseconds — the call is
     /// in-process, so sub-microsecond (log2-bucket upper bound).
@@ -421,7 +422,7 @@ fn main() {
 
     // The live-ingestion benchmark: replay this snapshot's dataset through
     // the daemon's incremental machines under concurrent point queries.
-    let ingest = run_ingest_bench(&sim_out, &snaps);
+    let ingest = run_ingest_bench(&sim_out, &snaps, seed);
 
     // The streamed scale ladder: one child process per tier so each
     // peak-RSS number is that tier's alone.
@@ -510,12 +511,13 @@ fn main() {
 
 /// Replays the snapshot's dataset through an in-process
 /// [`dynaddr_daemon::Daemon`] at max rate while one client thread hammers
-/// rolling `DaemonSnapshot` point queries, then seals and diffs the
-/// report against the batch analyzer's. The query loop shares the
-/// daemon's state lock with the ingest path, so the latency quantiles
-/// measure exactly what a socket client would see mid-replay (minus wire
-/// framing).
-fn run_ingest_bench(sim_out: &SimOutput, snaps: &MonthlySnapshots) -> IngestStage {
+/// point queries, alternating `DaemonProbe` of a probe picked by `seed`
+/// with `DaemonSnapshot`, then seals and diffs the report against the
+/// batch analyzer's. The queries read the view the ingest path publishes
+/// at each chunk boundary, both its counters and its per-probe table, so
+/// the latency quantiles measure exactly what a socket client would see
+/// mid-replay (minus wire framing).
+fn run_ingest_bench(sim_out: &SimOutput, snaps: &MonthlySnapshots, seed: u64) -> IngestStage {
     use dynaddr_daemon::{Daemon, Rate};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -526,6 +528,8 @@ fn run_ingest_bench(sim_out: &SimOutput, snaps: &MonthlySnapshots) -> IngestStag
     );
     let daemon = Daemon::new(snaps.clone(), cfg);
     let done = AtomicBool::new(false);
+    let meta = &sim_out.dataset.meta;
+    let probe = meta.get(seed as usize % meta.len().max(1)).map_or(0, |m| m.probe.0);
 
     let mut latency = dynaddr_obs::Histogram::default();
     let mut point_queries = 0u64;
@@ -536,7 +540,11 @@ fn run_ingest_bench(sim_out: &SimOutput, snaps: &MonthlySnapshots) -> IngestStag
             let mut n = 0u64;
             while !done.load(Ordering::Acquire) {
                 let q0 = Instant::now();
-                std::hint::black_box(daemon.snapshot_reply());
+                if n.is_multiple_of(2) {
+                    std::hint::black_box(daemon.probe_reply(probe));
+                } else {
+                    std::hint::black_box(daemon.snapshot_reply());
+                }
                 hist.record(q0.elapsed().as_nanos() as u64);
                 n += 1;
             }

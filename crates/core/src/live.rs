@@ -60,6 +60,14 @@ pub struct IngestStats {
     pub frontier_secs: i64,
 }
 
+impl IngestStats {
+    /// Stream rows seen: every row after the meta table, including those
+    /// dropped for an unknown probe.
+    pub fn rows(&self) -> u64 {
+        self.connection_rows + self.kroot_rows + self.uptime_rows + self.unknown_probe_rows
+    }
+}
+
 /// A point-in-time view of one probe's rolling state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeView {
@@ -84,13 +92,46 @@ pub struct ProbeView {
 /// Per-probe machine bundle.
 #[derive(Debug, Clone)]
 struct ProbeState {
+    /// The probe's rolling view, brought up to date by every row from the
+    /// machine state that row already touched. `(view.class,
+    /// view.multi_as)` is the funnel bucket the probe occupies in the
+    /// rolling counts; `view.reboots` is the only reboot tally.
+    view: ProbeView,
+    /// Whether the probe's slot is on the dirty list awaiting a drain.
+    dirty: bool,
     machine: ProbeMachine,
     reboots: RebootDetector,
     netout: NetworkOutageDetector,
     bracketer: KrootBracketer,
-    reboot_count: usize,
-    /// Funnel bucket this probe currently occupies in the rolling counts.
-    counted: (ProbeClass, bool),
+}
+
+impl ProbeState {
+    /// Replaces the view; if it changed, puts `slot` on the dirty list
+    /// unless it is there already.
+    fn set_view(&mut self, view: ProbeView, slot: usize, dirty: &mut Vec<usize>) {
+        if view != self.view {
+            self.view = view;
+            if !self.dirty {
+                self.dirty = true;
+                dirty.push(slot);
+            }
+        }
+    }
+}
+
+/// The view of a probe whose filtering machine is `m`, given the outage
+/// and reboot tallies kept beside it.
+fn view_of(m: &ProbeMachine, network_outages: usize, reboots: usize) -> ProbeView {
+    ProbeView {
+        class: m.class(),
+        multi_as: m.multi_as(),
+        entries: m.entries_len(),
+        changes: m.changes_len(),
+        gaps: m.gaps_len(),
+        network_outages,
+        reboots,
+        had_testing: m.had_testing(),
+    }
 }
 
 /// The live pipeline: per-probe state machines + rolling aggregates.
@@ -101,9 +142,24 @@ struct ProbeState {
 /// (or [`apply`](Self::apply) over a [`replay_plan`]). Query rolling state
 /// any time; [`seal`](Self::seal) renders the full report without
 /// disturbing the live state.
+///
+/// Each probe lives in a dense slot, assigned by `push_meta` in
+/// introduction order. A row brings its probe's [`ProbeView`] up to date
+/// from the machine state it already touched and, if the view changed,
+/// marks the slot dirty (a flag test). [`drain_dirty`](Self::drain_dirty)
+/// hands a reader the views of the marked probes, so keeping a published
+/// copy of the per-probe state costs O(views changed) per publish, not
+/// O(rows) or O(probes). Most k-root and uptime rows change no view.
 pub struct IncrementalAnalyzer {
     snapshots: MonthlySnapshots,
-    probes: BTreeMap<u32, ProbeState>,
+    /// Probe id → slot in `probes`.
+    slots: BTreeMap<u32, usize>,
+    /// Per-probe state, indexed by slot.
+    probes: Vec<ProbeState>,
+    /// Slots whose view changed since the last drain, each at most once,
+    /// so the list never outgrows the probe table even if nobody drains
+    /// it.
+    dirty: Vec<usize>,
     counts: FilterCounts,
     stats: IngestStats,
 }
@@ -141,7 +197,9 @@ impl IncrementalAnalyzer {
     pub fn new(snapshots: MonthlySnapshots) -> IncrementalAnalyzer {
         IncrementalAnalyzer {
             snapshots,
-            probes: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            probes: Vec::new(),
+            dirty: Vec::new(),
             counts: FilterCounts::default(),
             stats: IngestStats::default(),
         }
@@ -152,25 +210,35 @@ impl IncrementalAnalyzer {
     /// the meta table.
     pub fn push_meta(&mut self, meta: &ProbeMeta) {
         let id = meta.probe.0;
-        if self.probes.contains_key(&id) {
+        if self.slots.contains_key(&id) {
             return;
         }
         let machine = ProbeMachine::new(meta.clone());
-        let counted = (machine.class(), machine.multi_as());
-        tally(&mut self.counts, counted.0, counted.1, true);
+        let view = view_of(&machine, 0, 0);
+        tally(&mut self.counts, view.class, view.multi_as, true);
         self.counts.total += 1;
-        self.probes.insert(
-            id,
-            ProbeState {
-                machine,
-                reboots: RebootDetector::new(),
-                netout: NetworkOutageDetector::new(),
-                bracketer: KrootBracketer::new(),
-                reboot_count: 0,
-                counted,
-            },
-        );
+        let slot = self.probes.len();
+        self.slots.insert(id, slot);
+        self.probes.push(ProbeState {
+            view,
+            dirty: true,
+            machine,
+            reboots: RebootDetector::new(),
+            netout: NetworkOutageDetector::new(),
+            bracketer: KrootBracketer::new(),
+        });
+        self.dirty.push(slot);
         self.stats.meta_rows += 1;
+    }
+
+    /// The slot of probe `id`; `None` (and the row counted as unknown) if
+    /// no meta row introduced it.
+    fn slot_of(&mut self, id: u32) -> Option<usize> {
+        let slot = self.slots.get(&id).copied();
+        if slot.is_none() {
+            self.stats.unknown_probe_rows += 1;
+        }
+        slot
     }
 
     fn frontier(&mut self, t: SimTime) {
@@ -179,49 +247,47 @@ impl IncrementalAnalyzer {
 
     /// Feeds one connection-log entry (per-probe start-time order).
     pub fn push_connection(&mut self, e: &ConnectionLogEntry) {
-        let Some(st) = self.probes.get_mut(&e.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
-        let (changes0, gaps0) = (st.machine.changes_len(), st.machine.gaps_len());
+        let Some(slot) = self.slot_of(e.probe.0) else { return };
+        let st = &mut self.probes[slot];
         st.machine.push(e, &self.snapshots);
-        let now = (st.machine.class(), st.machine.multi_as());
-        if now != st.counted {
-            tally(&mut self.counts, st.counted.0, st.counted.1, false);
-            tally(&mut self.counts, now.0, now.1, true);
-            st.counted = now;
+        let was = st.view;
+        let now = view_of(&st.machine, was.network_outages, was.reboots);
+        if (now.class, now.multi_as) != (was.class, was.multi_as) {
+            tally(&mut self.counts, was.class, was.multi_as, false);
+            tally(&mut self.counts, now.class, now.multi_as, true);
         }
         // Counts reset to zero when a probe settles out of the analyzable
         // funnel (heavy state dropped); only forward motion is tallied.
-        self.stats.changes += st.machine.changes_len().saturating_sub(changes0) as u64;
-        self.stats.gaps += st.machine.gaps_len().saturating_sub(gaps0) as u64;
+        self.stats.changes += now.changes.saturating_sub(was.changes) as u64;
+        self.stats.gaps += now.gaps.saturating_sub(was.gaps) as u64;
+        st.set_view(now, slot, &mut self.dirty);
         self.stats.connection_rows += 1;
         self.frontier(e.start);
     }
 
     /// Feeds one k-root ping record (per-probe time order).
     pub fn push_kroot(&mut self, r: &KrootPingRecord) {
-        let Some(st) = self.probes.get_mut(&r.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
-        let before = st.netout.outages().len();
+        let Some(slot) = self.slot_of(r.probe.0) else { return };
+        let st = &mut self.probes[slot];
         st.netout.push(r);
         st.bracketer.push_kroot(r.timestamp);
-        self.stats.network_outages += (st.netout.outages().len() - before) as u64;
+        let network_outages = st.netout.outages().len();
+        if network_outages != st.view.network_outages {
+            self.stats.network_outages += (network_outages - st.view.network_outages) as u64;
+            st.set_view(ProbeView { network_outages, ..st.view }, slot, &mut self.dirty);
+        }
         self.stats.kroot_rows += 1;
         self.frontier(r.timestamp);
     }
 
     /// Feeds one SOS-uptime record (per-probe time order).
     pub fn push_uptime(&mut self, r: &SosUptimeRecord) {
-        let Some(st) = self.probes.get_mut(&r.probe.0) else {
-            self.stats.unknown_probe_rows += 1;
-            return;
-        };
+        let Some(slot) = self.slot_of(r.probe.0) else { return };
+        let st = &mut self.probes[slot];
         if let Some(reboot) = st.reboots.push(r) {
             st.bracketer.push_reboot(reboot);
-            st.reboot_count += 1;
+            let reboots = st.view.reboots + 1;
+            st.set_view(ProbeView { reboots, ..st.view }, slot, &mut self.dirty);
             self.stats.reboots += 1;
         }
         // Safe prune bound: every future reboot of this probe boots after
@@ -270,17 +336,23 @@ impl IncrementalAnalyzer {
 
     /// A point-in-time view of one probe, if introduced.
     pub fn probe_view(&self, id: u32) -> Option<ProbeView> {
-        let st = self.probes.get(&id)?;
-        Some(ProbeView {
-            class: st.machine.class(),
-            multi_as: st.machine.multi_as(),
-            entries: st.machine.entries_len(),
-            changes: st.machine.changes_len(),
-            gaps: st.machine.gaps_len(),
-            network_outages: st.netout.outages().len(),
-            reboots: st.reboot_count,
-            had_testing: st.machine.had_testing(),
-        })
+        Some(self.probes[*self.slots.get(&id)?].view)
+    }
+
+    /// Hands `f` the current view of every probe introduced, or whose view
+    /// changed, since the last drain, as `(id, slot, view)`, and clears
+    /// the marks.
+    ///
+    /// Each probe comes at most once per drain. Slots are dense and
+    /// assigned in introduction order, and a probe is marked as it is
+    /// introduced, so a slot first shows up only after every lower one
+    /// has: a reader's copy of the slot table grows by appending.
+    pub fn drain_dirty(&mut self, mut f: impl FnMut(u32, usize, ProbeView)) {
+        for slot in self.dirty.drain(..) {
+            let st = &mut self.probes[slot];
+            st.dirty = false;
+            f(st.machine.meta().probe.0, slot, st.view);
+        }
     }
 
     /// Seals a snapshot of the live state into the full report. The live
@@ -291,7 +363,7 @@ impl IncrementalAnalyzer {
         let _sp = dynaddr_obs::span("live_seal");
         // ----- Filtering funnel (Table 2) --------------------------------
         let states: Vec<(u32, &ProbeState)> =
-            self.probes.iter().map(|(id, st)| (*id, st)).collect();
+            self.slots.iter().map(|(id, slot)| (*id, &self.probes[*slot])).collect();
         let finished: Vec<(u32, ProbeClass, Option<AnalyzableProbe>)> =
             par_map(&states, |(id, st)| {
                 let (class, probe) = st.machine.clone().finish();
@@ -312,7 +384,7 @@ impl IncrementalAnalyzer {
         // resolved reboot brackets and completed network outages.
         let per_probe: Vec<(Vec<(Reboot, DarkBracket)>, Vec<NetworkOutage>)> =
             par_map(&report.probes, |p| {
-                let st = &self.probes[&p.probe().0];
+                let st = &self.probes[self.slots[&p.probe().0]];
                 (st.bracketer.clone().finish(), st.netout.clone().finish())
             });
         // The global reboot population feeds the firmware series, exactly
@@ -492,6 +564,76 @@ mod tests {
             render_full(&sealed, &cfg.as_names),
             render_full(&batch, &cfg.as_names)
         );
+    }
+
+    /// The dirty list holds each probe at most once, so an analyzer that
+    /// is never drained stays O(probes); a drain reports exactly the
+    /// probes introduced or changed since the last one, with
+    /// `probe_view`'s views.
+    #[test]
+    fn drain_reports_each_changed_probe_once() {
+        let world = paper_world(0.01, 3);
+        let out = dynaddr_atlas::simulate(&world);
+        let ds = &out.dataset;
+        let mut live = IncrementalAnalyzer::new(paper_route_tables(&world));
+        live.replay(ds);
+        assert_eq!(live.dirty.len(), live.probes_tracked(), "undrained list is O(probes)");
+        assert_eq!(live.stats().rows(), replay_plan(ds).len() as u64);
+
+        let mut drained = Vec::new();
+        live.drain_dirty(|id, slot, view| drained.push((id, slot, view)));
+        assert_eq!(drained.len(), ds.meta.len());
+        for (i, (id, slot, view)) in drained.iter().enumerate() {
+            assert_eq!(*slot, i, "first drain lists every slot in order");
+            assert_eq!(live.probe_view(*id), Some(*view));
+        }
+        live.drain_dirty(|_, _, _| panic!("nothing changed since the last drain"));
+
+        // A repeated meta row changes no view; a new probe, and then its
+        // first IPv4 connection, each change one.
+        live.push_meta(&ds.meta[0]);
+        live.drain_dirty(|_, _, _| panic!("a repeated meta row changes no view"));
+        let id = u32::MAX;
+        live.push_meta(&ProbeMeta { probe: dynaddr_types::ProbeId(id), ..ds.meta[0].clone() });
+        let mut drained = Vec::new();
+        live.drain_dirty(|id, slot, view| drained.push((id, slot, view)));
+        assert_eq!(drained, vec![(id, ds.meta.len(), live.probe_view(id).unwrap())]);
+        live.push_connection(&ConnectionLogEntry {
+            probe: dynaddr_types::ProbeId(id),
+            start: SimTime(0),
+            end: SimTime(60),
+            peer: dynaddr_atlas::logs::PeerAddr::V4("10.0.0.1".parse().unwrap()),
+        });
+        let mut drained = Vec::new();
+        live.drain_dirty(|id, _, view| drained.push((id, view)));
+        assert_eq!(drained, vec![(id, live.probe_view(id).unwrap())]);
+        assert_ne!(drained[0].1.class, ProbeClass::Ipv6Only);
+    }
+
+    /// The view each row keeps current equals one computed afresh from
+    /// the probe's machines, after every row of a replay.
+    #[test]
+    fn rolling_views_track_the_machines() {
+        let world = paper_world(0.01, 3);
+        let out = dynaddr_atlas::simulate(&world);
+        let ds = &out.dataset;
+        let mut live = IncrementalAnalyzer::new(paper_route_tables(&world));
+        for meta in &ds.meta {
+            live.push_meta(meta);
+        }
+        for step in replay_plan(ds) {
+            live.apply(ds, step.row);
+            let id = match step.row {
+                ReplayRow::Connection(i) => ds.connections[i].probe.0,
+                ReplayRow::Kroot(i) => ds.kroot[i].probe.0,
+                ReplayRow::Uptime(i) => ds.uptime[i].probe.0,
+            };
+            let st = &live.probes[live.slots[&id]];
+            let fresh = view_of(&st.machine, st.netout.outages().len(), st.view.reboots);
+            assert_eq!(st.view, fresh, "probe {id}");
+        }
+        let reboots: usize = live.probes.iter().map(|st| st.view.reboots).sum();
+        assert_eq!(reboots as u64, live.stats().reboots);
     }
 
     #[test]

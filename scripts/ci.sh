@@ -66,7 +66,7 @@ QSOCK="$SMOKE/queryd.sock"
 ./target/release/queryd --data "$SMOKE/store" --socket "$QSOCK" \
     --trace "$SMOKE/queryd-trace.jsonl" 2> "$SMOKE/queryd.err" &
 QPID=$!
-trap 'kill "$QPID" 2>/dev/null; rm -rf "$SNAP" "$SMOKE"' EXIT
+trap 'kill "$QPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
 ./target/release/queryc --data "$SMOKE/store" --socket "$QSOCK" \
     --count 400 --seed 99 --out "$SMOKE/q-remote-cold.txt"
 ./target/release/queryc --data "$SMOKE/store" --socket "$QSOCK" \
@@ -82,8 +82,12 @@ echo "==> dynaddrd replay smoke (scale 0.01 store, daemon vs batch report)"
 # Replaying the full stream through the live per-probe state machines and
 # sealing must reproduce the batch analyzer's report byte for byte — at 1
 # thread, 2 threads, and the ambient count. Mid-replay, the daemon must
-# answer rolling point queries over its socket.
-trap 'kill "$DPID" 2>/dev/null; rm -rf "$SNAP" "$SMOKE"' EXIT
+# answer rolling point queries over its socket; they read a view published
+# at chunk boundaries, never the ingest lock, so each gets 10 s at most and
+# a starved reader fails the smoke instead of hanging it.
+trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$SNAP" "$SMOKE"' EXIT
+PROBE="$(sed -n '1s/^{"probe":\([0-9]*\),.*/\1/p' "$SMOKE/jsonl/meta.jsonl")"
+test -n "$PROBE"
 for THREADS in 1 2 ambient; do
     DSOCK="$SMOKE/dynaddrd-$THREADS.sock"
     DREPORT="$SMOKE/dynaddrd-$THREADS.txt"
@@ -99,9 +103,12 @@ for THREADS in 1 2 ambient; do
     DPID=$!
     # Rolling snapshot + probe state while (or just after) the replay
     # runs; then block until the stream is sealed.
-    ./target/release/dynaddrd query --socket "$DSOCK" snapshot \
+    timeout 10 ./target/release/dynaddrd query --socket "$DSOCK" snapshot \
         > "$SMOKE/dynaddrd-$THREADS.snap"
     grep -q '^snapshot: ' "$SMOKE/dynaddrd-$THREADS.snap"
+    timeout 10 ./target/release/dynaddrd query --socket "$DSOCK" probe "$PROBE" \
+        > "$SMOKE/dynaddrd-$THREADS.probe"
+    grep -q '^probe' "$SMOKE/dynaddrd-$THREADS.probe"
     ./target/release/dynaddrd query --socket "$DSOCK" --wait-sealed 120 ingest \
         | grep -q 'sealed true'
     # The report is published by atomic rename just after sealing.
